@@ -61,7 +61,6 @@ timings.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -163,9 +162,9 @@ class _DictBackedQueue:
     def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity
         self._max_heap: list = []
-        self._min_heap: list = []
+        self._min_heap: list | None = None
         self._size = 0
-        self._counter = itertools.count()
+        self._seq = 0
         self.evictions = 0
         self.rejections = 0
 

@@ -19,6 +19,7 @@ intern, cache-invalidation and snapshot semantics unchanged.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from repro.core.profile import EntityProfile
@@ -86,18 +87,16 @@ class Block:
         return count
 
     def pairs(self, clean_clean: bool) -> Iterator[tuple[int, int]]:
-        """Yield all candidate pid pairs of this block (not canonicalized)."""
+        """Iterate all candidate pid pairs of this block (not canonicalized).
+
+        Clean-Clean: source-0 × source-1 members; dirty: every 2-combination
+        in member order.  Both are generated in C by :mod:`itertools`.
+        """
         if clean_clean:
-            left_members = self.members_by_source.get(0, ())
-            right_members = self.members_by_source.get(1, ())
-            for pid_x in left_members:
-                for pid_y in right_members:
-                    yield (pid_x, pid_y)
-        else:
-            flat = list(self)
-            for i, pid_x in enumerate(flat):
-                for pid_y in flat[i + 1 :]:
-                    yield (pid_x, pid_y)
+            return product(
+                self.members_by_source.get(0, ()), self.members_by_source.get(1, ())
+            )
+        return combinations(list(self), 2)
 
     def __repr__(self) -> str:
         return f"Block(key={self.key!r}, size={self._size})"
@@ -347,9 +346,7 @@ class BlockCollection:
         keys_y = self._blocks_of.get(pid_y)
         if not keys_x or not keys_y:
             return 0
-        if len(keys_x) > len(keys_y):
-            keys_x, keys_y = keys_y, keys_x
-        return sum(1 for key in keys_x if key in keys_y)
+        return len(keys_x & keys_y)
 
     def __repr__(self) -> str:
         return (

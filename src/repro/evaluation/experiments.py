@@ -78,24 +78,12 @@ def _build_matcher(name: str, *, ed_kernel: str = "auto") -> Matcher:
     raise ValueError(f"unknown matcher {name!r}; use 'JS' or 'ED'")
 
 
-#: Systems whose prioritization runs on meta-blocking weights and therefore
-#: honor the ``per_pair_weighting`` escape hatch.  The sorted-neighborhood
-#: and exhaustive-batch baselines do not weight comparisons, so the flag is
-#: ignored for them.
-WEIGHTING_SYSTEMS = frozenset(
-    {
-        "I-PES",
-        "I-PCS",
-        "I-PBS",
-        "I-AUTO",
-        "I-BASE",
-        "PPS",
-        "PPS-GLOBAL",
-        "PPS-LOCAL",
-        "PBS",
-        "PBS-GLOBAL",
-    }
-)
+#: Systems that generate candidates through the single-sweep weighting
+#: kernel and therefore honor the ``per_pair_weighting`` escape hatch.
+#: I-PBS and the PPS/PBS baselines weigh pairs they already hold and have no
+#: per-pair switch, and the sorted-neighborhood and exhaustive-batch
+#: baselines do not weight comparisons, so the flag is ignored for them.
+WEIGHTING_SYSTEMS = frozenset({"I-PES", "I-PCS", "I-AUTO", "I-BASE"})
 
 
 def _build_system(
@@ -110,7 +98,7 @@ def _build_system(
 
     ``per_pair_weighting=True`` selects the legacy per-pair meta-blocking
     weighting path instead of the single-sweep kernel for the systems that
-    weight comparisons (bit-identical results; exists for bisection).
+    generate candidates (bit-identical results; exists for bisection).
 
     ``blocking`` selects the candidate-generation substrate
     (token / lsh / lsh-prefilter) for every system; ``None`` keeps the

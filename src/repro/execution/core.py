@@ -661,13 +661,15 @@ class ExecutionCore:
             results = matcher.evaluate_batch(selected_profiles, precomputed=precomputed)
             recorder = state.recorder
             duplicates = state.duplicates
+            recorded = 0
             for offset, result in enumerate(results):
                 pid_x, pid_y = batch[selected[offset]]
-                metrics.count("engine.comparisons_executed")
                 if recorder.record(pid_x, pid_y, post_clocks[offset]):
-                    metrics.count("engine.matches_recorded")
+                    recorded += 1
                 if result.is_match:
                     duplicates.add((min(pid_x, pid_y), max(pid_x, pid_y)))
+            metrics.count_hits({"engine.comparisons_executed": len(results),
+                                "engine.matches_recorded": recorded})
         return clock, deadline_cut
 
     # ------------------------------------------------------------------
@@ -774,14 +776,17 @@ class ExecutionCore:
     def _record_round(
         self, state: RunState, stats: PipelineStats, emitted: int, executed: int
     ) -> None:
+        # Most rounds fall between the log's stride; build only kept samples.
         state.metrics.record_round(
-            round=state.rounds,
-            clock=state.clock,
-            backlog=stats.backlog,
-            input_rate=stats.input_rate,
-            emitted=emitted,
-            executed=executed,
-            **state.system.gauges(),
+            lambda: dict(
+                round=state.rounds,
+                clock=state.clock,
+                backlog=stats.backlog,
+                input_rate=stats.input_rate,
+                emitted=emitted,
+                executed=executed,
+                **state.system.gauges(),
+            )
         )
 
     # ------------------------------------------------------------------

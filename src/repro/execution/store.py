@@ -41,6 +41,9 @@ class ComparisonStore:
     __slots__ = ("executed", "quarantined", "emitted", "stale_dequeues", "_bloom")
 
     def __init__(self) -> None:
+        # Canonical (smaller pid first) pairs.  Besides the methods below,
+        # the PIER hot paths read and claim it directly: PierSystem.emit,
+        # GetComparisons.next_batch, IPBS, IPCS and IPES.
         self.executed: set[tuple[int, int]] = set()
         self.quarantined: set[tuple[int, int]] = set()
         self.emitted = 0

@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.blocking.substrate import BlockingSubstrate
 from repro.core.comparison import canonical_pair
-from repro.metablocking.sweep import partner_weights
+from repro.metablocking.sweep import sweep_partner_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
 __all__ = ["BlockGraph"]
@@ -27,10 +27,11 @@ __all__ = ["BlockGraph"]
 class BlockGraph:
     """Weighted comparison graph over a (static) block collection.
 
-    Edge weights come from the single-sweep kernel — pairs are enumerated
-    and de-duplicated first, then weighted with one aggregate sweep per
-    distinct left profile (``per_pair=True`` restores the legacy
-    one-``weight()``-call-per-edge build; results are bit-identical).
+    Pairs are enumerated and de-duplicated first, then weighted with one
+    counting sweep per distinct left profile
+    (:func:`~repro.metablocking.sweep.sweep_partner_weights`): the graph
+    weighs nearly every co-block partner of each profile, where one sweep
+    beats a block-set intersection per edge.
     """
 
     def __init__(
@@ -38,12 +39,10 @@ class BlockGraph:
         collection: BlockingSubstrate,
         valid_pair: Callable[[int, int], bool],
         scheme: WeightingScheme | None = None,
-        per_pair: bool = False,
     ) -> None:
         self._collection = collection
         self._valid_pair = valid_pair
         self._scheme = scheme or CommonBlocksScheme()
-        self._per_pair = per_pair
         self.edges: dict[tuple[int, int], float] = {}
         self.adjacency: dict[int, list[tuple[int, float]]] = {}
         self.edge_enumerations = 0  # work units: block-pair enumerations
@@ -62,20 +61,15 @@ class BlockGraph:
                 if not self._valid_pair(*pair):
                     continue
                 ordered.append(pair)
-        if self._per_pair:
-            weighted = (
-                (pair, self._scheme.weight(self._collection, *pair)) for pair in ordered
-            )
-        else:
-            by_left: dict[int, list[int]] = {}
-            for left, right in ordered:
-                by_left.setdefault(left, []).append(right)
-            weights = {
-                left: partner_weights(self._collection, left, rights, self._scheme)
-                for left, rights in by_left.items()
-            }
-            weighted = ((pair, weights[pair[0]][pair[1]]) for pair in ordered)
-        for pair, weight in weighted:
+        by_left: dict[int, list[int]] = {}
+        for left, right in ordered:
+            by_left.setdefault(left, []).append(right)
+        weights = {
+            left: sweep_partner_weights(self._collection, left, rights, self._scheme)
+            for left, rights in by_left.items()
+        }
+        for pair in ordered:
+            weight = weights[pair[0]][pair[1]]
             if weight <= 0.0:
                 continue
             self.edges[pair] = weight

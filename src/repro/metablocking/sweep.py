@@ -18,6 +18,12 @@ speed (``Counter.update`` over the index's member lists).  Candidate
 de-duplication falls out for free: each partner appears once in the
 accumulator however many blocks it shares.
 
+The sweep pays off when a profile's partners are mostly all wanted: in
+candidate generation and in the PPS block graph
+(:func:`sweep_partner_weights`).  Paths that hold only a few pairs of a
+profile (refill, I-PBS, PBS) weigh them with :func:`partner_weights`, one
+C-level block-set intersection per pair.
+
 Bit-identity with the per-pair path is a hard contract, relied on by the
 ``--per-pair-weighting`` escape hatch and enforced by tests and the perf
 benchmark:
@@ -44,7 +50,13 @@ from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingSubstrate
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
-__all__ = ["sweep_weights", "partner_weights", "sweep_candidate_weights"]
+__all__ = [
+    "sweep_weights",
+    "partner_weights",
+    "pair_weights",
+    "sweep_partner_weights",
+    "sweep_candidate_weights",
+]
 
 #: C-level size fetch for the ghosting threshold scan (``len()`` would pay a
 #: Python ``__len__`` dispatch per block).
@@ -108,33 +120,6 @@ def _count_totals(
     counts: Counter = Counter()
     counts.update(chain.from_iterable(_member_lists(blocks, cross_only, other)))
     return counts
-
-
-def _accumulate(
-    collection: BlockingSubstrate,
-    pid: int,
-    blocks: Sequence[Block],
-    scheme: WeightingScheme,
-    source: int | None,
-):
-    """Run the statistics sweep; return ``finalize``.
-
-    ``finalize(partner) -> float`` turns the accumulated statistic into the
-    scheme's weight, bit-identical to ``scheme.weight(collection, pid,
-    partner)``.
-    """
-    if getattr(scheme, "sweep_accumulates_inverse_cardinality", False):
-        totals = _arcs_totals(collection, pid, blocks, source)
-        return lambda partner: totals.get(partner, 0.0)
-    finalize_sweep = getattr(scheme, "finalize_sweep", None)
-    if finalize_sweep is not None:
-        counts = _count_totals(collection, pid, blocks, source)
-        if getattr(scheme, "sweep_weight_is_count", False):
-            return lambda partner: float(counts[partner])
-        return lambda partner: finalize_sweep(collection, pid, partner, counts[partner])
-    # Unknown scheme object: fall back to per-pair weighting (the sweep
-    # still provides de-duplicated candidates in deterministic order).
-    return lambda partner: scheme.weight(collection, pid, partner)
 
 
 def sweep_candidate_weights(
@@ -255,19 +240,66 @@ def partner_weights(
     pid: int,
     partners: Iterable[int],
     scheme: WeightingScheme | None = None,
-    *,
-    source: int | None = None,
 ) -> dict[int, float]:
-    """Weights of ``pid`` against a known partner list, via one sweep.
+    """Weights of ``pid`` against a known partner list.
 
-    The aggregate counterpart of calling ``scheme.weight(collection, pid,
-    y)`` for each ``y`` in ``partners`` (bit-identical results): used by the
-    block-draining paths (refill, I-PBS, PPS/PBS), which already know which
-    pairs they need and only want the weights.  Partners that share no live
-    block with ``pid`` get weight ``0.0``, as in the per-pair path.
+    Used by the block-draining paths (refill, I-PBS, PBS), which already
+    hold the few pairs they need: each weight is one
+    ``scheme.weight(collection, pid, partner)`` call, whose block-set
+    intersection runs in C.  Sweeping ``pid``'s whole block index instead
+    would cost ``O(Σ|b|)`` per call however few partners are asked for.
+    Partners that share no live block with ``pid`` get weight ``0.0``.
+    """
+    weight = (scheme or CommonBlocksScheme()).weight
+    return {partner: weight(collection, pid, partner) for partner in partners}
+
+
+def pair_weights(
+    collection: BlockingSubstrate,
+    pairs: Sequence[tuple[int, int]],
+    scheme: WeightingScheme | None = None,
+    weigh: Callable[..., dict[int, float]] = partner_weights,
+) -> list[float]:
+    """Weights of canonical ``pairs``, in order.
+
+    Groups the pairs by left profile and makes one ``weigh(collection,
+    left, rights, scheme)`` call per group.  Callers pass the
+    ``partner_weights`` they import, so a profiler that patches that name
+    in their module (``perfbench/tracing.py`` does) sees every call.
+    """
+    by_left: dict[int, list[int]] = {}
+    for left, right in pairs:
+        by_left.setdefault(left, []).append(right)
+    weights = {
+        left: weigh(collection, left, rights, scheme) for left, rights in by_left.items()
+    }
+    return [weights[left][right] for left, right in pairs]
+
+
+def sweep_partner_weights(
+    collection: BlockingSubstrate,
+    pid: int,
+    partners: Iterable[int],
+    scheme: WeightingScheme | None = None,
+) -> dict[int, float]:
+    """:func:`partner_weights` read off one counting sweep over ``pid``'s blocks.
+
+    Bit-identical to :func:`partner_weights`; the ``O(Σ|b|)`` sweep is
+    cheaper when ``partners`` are most of ``pid``'s co-block partners, as
+    in the PPS block graph, which weighs every edge.
     """
     scheme = scheme or CommonBlocksScheme()
-    finalize = _accumulate(
-        collection, pid, collection.iter_partner_blocks(pid), scheme, source
-    )
-    return {partner: finalize(partner) for partner in partners}
+    blocks = collection.iter_partner_blocks(pid)
+    if getattr(scheme, "sweep_accumulates_inverse_cardinality", False):
+        totals = _arcs_totals(collection, pid, blocks, None)
+        return {partner: totals.get(partner, 0.0) for partner in partners}
+    finalize_sweep = getattr(scheme, "finalize_sweep", None)
+    if finalize_sweep is None:
+        return partner_weights(collection, pid, partners, scheme)
+    counts = _count_totals(collection, pid, blocks, None)
+    if getattr(scheme, "sweep_weight_is_count", False):
+        return {partner: float(counts[partner]) for partner in partners}
+    return {
+        partner: finalize_sweep(collection, pid, partner, counts[partner])
+        for partner in partners
+    }

@@ -173,18 +173,15 @@ class ARCSScheme:
         keys_y = collection.blocks_of(pid_y)
         if not keys_x or not keys_y:
             return 0.0
-        if len(keys_x) > len(keys_y):
-            keys_x, keys_y = keys_y, keys_x
         clean_clean = collection.clean_clean
         total = 0.0
-        for key in sorted(keys_x):
-            if key in keys_y:
-                block = collection.get(key)
-                if block is None:
-                    continue
-                cardinality = block.comparison_count(clean_clean)
-                if cardinality > 0:
-                    total += 1.0 / cardinality
+        for key in sorted(keys_x & keys_y):
+            block = collection.get(key)
+            if block is None:
+                continue
+            cardinality = block.comparison_count(clean_clean)
+            if cardinality > 0:
+                total += 1.0 / cardinality
         return total
 
 

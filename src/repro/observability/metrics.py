@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = ["SCHEMA_VERSION", "PhaseTotals", "PhaseTimer", "RoundLog", "MetricsRegistry"]
 
@@ -67,13 +68,17 @@ class RoundLog:
         self._samples: list[dict[str, float | int | None]] = []
         self._offered = 0
 
-    def offer(self, sample: dict[str, float | int | None]) -> None:
-        """Record ``sample`` if the current stride selects this round."""
+    def offer(self, build: Callable[[], dict[str, float | int | None]]) -> None:
+        """Record ``build()`` if the current stride selects this round.
+
+        ``build`` runs only for kept rounds, so a sample that is costly to
+        assemble is paid for only when it is kept.
+        """
         index = self._offered
         self._offered += 1
         if index % self.stride:
             return
-        self._samples.append(sample)
+        self._samples.append(build())
         if len(self._samples) > self.max_samples:
             self._samples = self._samples[::2]
             self.stride *= 2
@@ -118,6 +123,17 @@ class MetricsRegistry:
         """Add ``amount`` to the named monotone counter."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
+    def count_hits(self, amounts: dict[str, float]) -> None:
+        """Add several counters at once, skipping zero amounts.
+
+        The batched form of a per-item ``count(name)`` loop: totals are the
+        same, and a key that the loop would never have hit stays absent.
+        """
+        counters = self._counters
+        for name, amount in amounts.items():
+            if amount:
+                counters[name] = counters.get(name, 0) + amount
+
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
 
@@ -148,8 +164,9 @@ class MetricsRegistry:
         return _PhaseTimer(self.phase(name))
 
     # -- per-round samples ---------------------------------------------
-    def record_round(self, **sample: float | int | None) -> None:
-        self.rounds.offer(sample)
+    def record_round(self, build: Callable[[], dict[str, float | int | None]]) -> None:
+        """Offer one round's sample to the round log (see :meth:`RoundLog.offer`)."""
+        self.rounds.offer(build)
 
     # -- checkpoint support ---------------------------------------------
     def dump_state(self) -> dict[str, object]:

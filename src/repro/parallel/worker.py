@@ -110,8 +110,9 @@ def worker_main(connection: "Connection") -> None:
         and may SIGKILL the process, stall ``spec.hang_s`` wall seconds, or
         truncate the reply payload.
     ``("reset",)``
-        Clear the profile cache (sent at the start of every run, so stale
-        pid-to-profile bindings can never leak across datasets).
+        Clear the profile cache and the matcher's pid-keyed derived state
+        (sent at the start of every run, so stale pid-to-profile bindings
+        can never leak across datasets).
     ``("ping",)``
         Reply ``("ok", "pong")`` — the pool's startup handshake proving the
         worker survived spawn and can round-trip messages.
@@ -227,7 +228,11 @@ def worker_main(connection: "Connection") -> None:
             fault_rng = fault_spec.rng_for(fault_slot, fault_incarnation)
             request_ordinal = 0
         elif kind == "reset":
+            # Profile ids repeat across datasets: pid-keyed matcher caches
+            # (the ED text cache) must go with the profiles.
             profiles.clear()
+            if matcher is not None:
+                matcher._init_derived_state()
         elif kind == "ping":
             try:
                 connection.send(("ok", "pong"))

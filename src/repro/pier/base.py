@@ -26,11 +26,11 @@ from typing import Callable, Iterable
 from repro.blocking.cleaning import block_ghosting
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
 from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
-from repro.core.comparison import WeightedComparison, canonical_pair
+from repro.core.comparison import WeightedComparison
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
-from repro.metablocking.sweep import partner_weights
+from repro.metablocking.sweep import pair_weights, partner_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.metablocking.wnp import incremental_wnp, sweep_wnp
 from repro.priority.rates import AdaptiveK
@@ -123,31 +123,27 @@ class GetComparisons:
     is eligible if it has never been drained or has *grown* since its last
     drain — refills may fire in idle gaps mid-stream, so blocks that gain
     members afterwards must be revisited once the stream goes quiet.
-    Already-executed pairs are filtered out by the caller-supplied
-    predicate, so revisits only pay for the genuinely new comparisons.
+    Pairs in the caller's executed set are filtered out, so revisits only
+    pay for the genuinely new comparisons.
 
-    Weights come from the sweep kernel, one aggregate sweep per distinct
-    left profile of the drained block (``per_pair=True`` restores the
-    legacy one-call-per-pair weighting; results are bit-identical).
+    Weights come from :func:`~repro.metablocking.sweep.partner_weights`,
+    one call per distinct left profile of the drained block (via
+    :func:`~repro.metablocking.sweep.pair_weights`).
     """
 
-    __slots__ = ("scheme", "per_pair", "_drained_size", "_heap")
+    __slots__ = ("scheme", "_drained_size", "_heap")
 
-    def __init__(
-        self, scheme: WeightingScheme | None = None, per_pair: bool = False
-    ) -> None:
+    def __init__(self, scheme: WeightingScheme | None = None) -> None:
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair = per_pair
         self._drained_size: dict[str, int] = {}
         # Cached min-heap of (size, key) over eligible blocks; rebuilt by a
         # full scan only when it runs dry, revalidated lazily on pop.
         self._heap: list[tuple[int, str]] = []
 
     def _eligible(self, block) -> bool:
-        size = len(block)
-        if size < 2:
-            return False
-        return size > self._drained_size.get(block.key, 0)
+        # Only blocks of size >= 2 are ever drained, so the default of 1
+        # also rules out singletons.
+        return len(block) > self._drained_size.get(block.key, 1)
 
     def _pop_smallest(self, collection: BlockingSubstrate):
         """Smallest eligible block, or ``None``; amortizes scans via a heap."""
@@ -171,44 +167,34 @@ class GetComparisons:
     def next_batch(
         self,
         collection: BlockingSubstrate,
-        already_executed: Callable[[int, int], bool],
+        executed: set[tuple[int, int]],
     ) -> tuple[list[WeightedComparison], int] | None:
         """Drain the next eligible block.
 
-        Returns ``None`` when no eligible block remains (exhausted), or a
-        ``(weighted comparisons, weighting ops)`` tuple otherwise — possibly
-        with an empty list when every pair of the block was executed before.
+        ``executed`` holds the canonical pairs that must not be offered
+        again.  Returns ``None`` when no eligible block remains (exhausted),
+        or a ``(weighted comparisons, weighting ops)`` tuple otherwise —
+        possibly with an empty list when every pair of the block was
+        executed before.
         """
         block = self._pop_smallest(collection)
         if block is None:
             return None
         self._drained_size[block.key] = len(block)
-        prune = collection.allows_pair if collection.prunes_candidates else None
-        pairs: list[tuple[int, int]] = []
-        for pid_x, pid_y in block.pairs(collection.clean_clean):
-            pair = canonical_pair(pid_x, pid_y)
-            if prune is not None and not prune(*pair):
-                continue
-            if already_executed(*pair):
-                continue
-            pairs.append(pair)
-        if self.per_pair:
-            weighted = [
-                WeightedComparison(left, right, self.scheme.weight(collection, left, right))
-                for left, right in pairs
-            ]
-        else:
-            by_left: dict[int, list[int]] = {}
-            for left, right in pairs:
-                by_left.setdefault(left, []).append(right)
-            weights = {
-                left: partner_weights(collection, left, rights, self.scheme)
-                for left, rights in by_left.items()
-            }
-            weighted = [
-                WeightedComparison(left, right, weights[left][right])
-                for left, right in pairs
-            ]
+        pairs = [
+            (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
+            for pid_x, pid_y in block.pairs(collection.clean_clean)
+        ]
+        if collection.prunes_candidates:
+            allows = collection.allows_pair
+            pairs = [pair for pair in pairs if allows(*pair)]
+        # Revisits of grown blocks re-list every pair, most already executed.
+        pairs = [pair for pair in pairs if pair not in executed]
+        weights = pair_weights(collection, pairs, self.scheme, partner_weights)
+        weighted = [
+            WeightedComparison(left, right, weight)
+            for (left, right), weight in zip(pairs, weights)
+        ]
         return weighted, len(pairs)
 
     def is_exhausted(self, collection: BlockingSubstrate) -> bool:
@@ -350,15 +336,19 @@ class PierSystem(ERSystem):
     def emit(self, stats: PipelineStats) -> EmitResult:
         budget = self._find_k(stats)
         store = self.store
+        executed = store.executed
+        dequeue = self.strategy.dequeue
         batch: list[tuple[int, int]] = []
         stale = 0
         while len(batch) < budget:
-            pair = self.strategy.dequeue()
+            pair = dequeue()
             if pair is None:
                 break
-            if not store.mark_executed(pair):
+            # Queued pairs are canonical: claim them on the executed set.
+            if pair in executed:
                 stale += 1
                 continue
+            executed.add(pair)
             batch.append(pair)
         if batch:
             self.metrics.count("pier.comparisons_emitted", len(batch))
@@ -424,9 +414,6 @@ class PierSystem(ERSystem):
         predicate = lambda pid: blocker.profile(pid).source != source
         predicate.cross_source_only = True  # type: ignore[attr-defined]
         return predicate
-
-    def was_executed(self, pid_x: int, pid_y: int) -> bool:
-        return self.store.was_executed(pid_x, pid_y)
 
     @property
     def _executed(self) -> set[tuple[int, int]]:

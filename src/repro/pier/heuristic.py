@@ -98,6 +98,6 @@ def choose_strategy(
 def make_chosen_strategy(sample: Sequence[EntityProfile], **kwargs) -> IncrPrioritization:
     """Instantiate the heuristic's pick."""
     if choose_strategy(sample) == "I-PBS":
-        supported = ("scheme", "capacity", "per_pair_weighting")
+        supported = ("scheme", "capacity")
         return IPBS(**{k: v for k, v in kwargs.items() if k in supported})
     return IPES(**kwargs)

@@ -29,10 +29,9 @@ import copy
 import heapq
 from typing import Iterable
 
-from repro.core.comparison import canonical_pair
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
-from repro.metablocking.sweep import partner_weights
+from repro.metablocking.sweep import pair_weights, partner_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.pier.base import IncrPrioritization, PierSystem
 from repro.priority.bloom import ScalableBloomFilter
@@ -51,10 +50,8 @@ class IPBS(IncrPrioritization):
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
         filter_initial_capacity: int = 4096,
-        per_pair_weighting: bool = False,
     ) -> None:
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair_weighting = per_pair_weighting
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
         self.cardinality_index: dict[str, int] = {}
         self.profile_index: dict[str, set[int]] = {}
@@ -151,44 +148,38 @@ class IPBS(IncrPrioritization):
         # Sorted iteration keeps generation order independent of set-table
         # history, so a checkpoint-restored run replays identically.
         prune = collection.allows_pair if collection.prunes_candidates else None
+        seen = self.comparison_filter
+        executed = system.store.executed
         survivors: list[tuple[int, int]] = []
+        filtered = skipped = 0
         for pid_x in sorted(pending):
-            profile_x = system.profile(pid_x)
             if collection.clean_clean:
-                partners = block.members(1 - profile_x.source)
+                partners = block.members(1 - system.profile(pid_x).source)
             else:
                 partners = [pid for pid in block if pid != pid_x]
             for pid_y in partners:
                 if pid_y == pid_x:
                     continue
-                pair = canonical_pair(pid_x, pid_y)
+                pair = (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
                 if prune is not None and not prune(*pair):
                     continue
-                if self.comparison_filter.contains(*pair):
-                    metrics.count("strategy.bloom_filtered")
+                # ``contains`` hashes the pair once; ``add`` reuses the hash.
+                if seen.contains(*pair):
+                    filtered += 1
                     continue
-                self.comparison_filter.add(*pair)
-                if system.was_executed(*pair):
-                    metrics.count("strategy.skipped_already_executed")
+                seen.add(*pair)
+                if pair in executed:
+                    skipped += 1
                     continue
                 survivors.append(pair)
-        if self.per_pair_weighting:
-            weighted = [
-                (pair, self.scheme.weight(collection, *pair)) for pair in survivors
-            ]
-        else:
-            by_left: dict[int, list[int]] = {}
-            for left, right in survivors:
-                by_left.setdefault(left, []).append(right)
-            weights = {
-                left: partner_weights(collection, left, rights, self.scheme)
-                for left, rights in by_left.items()
-            }
-            weighted = [(pair, weights[pair[0]][pair[1]]) for pair in survivors]
-        for pair, weight in weighted:
-            self.index.enqueue(pair, (-block_size, weight))
-            metrics.count("strategy.comparisons_enqueued")
+        weights = pair_weights(collection, survivors, self.scheme, partner_weights)
+        enqueue = self.index.enqueue
+        for pair, weight in zip(survivors, weights):
+            enqueue(pair, (-block_size, weight))
             cost += costs.per_weight + costs.per_enqueue
+        metrics.count_hits({"strategy.bloom_filtered": filtered,
+                            "strategy.skipped_already_executed": skipped,
+                            "strategy.comparisons_enqueued": len(survivors)})
         self._reset_block(key)
         return cost
 

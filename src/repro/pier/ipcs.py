@@ -46,14 +46,16 @@ class IPCS(IncrPrioritization):
         per_pair_weighting: bool = False,
     ) -> None:
         self.generator = ComparisonGenerator(beta=beta, scheme=scheme, per_pair=per_pair_weighting)
-        self.refill = GetComparisons(scheme=self.generator.scheme, per_pair=per_pair_weighting)
+        self.refill = GetComparisons(scheme=self.generator.scheme)
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
 
     # ------------------------------------------------------------------
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
         metrics = system.metrics
+        executed = system.store.executed
         cost = 0.0
+        skipped = enqueued = 0
         for profile in profiles:
             kept, operations = self.generator.generate(
                 system.collection, profile, system.valid_partner(profile)
@@ -61,31 +63,37 @@ class IPCS(IncrPrioritization):
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:
-                if system.was_executed(weighted.left, weighted.right):
-                    metrics.count("strategy.skipped_already_executed")
+                pair = weighted.pair
+                if pair in executed:
+                    skipped += 1
                     continue
-                self.index.enqueue(weighted.pair, weighted.weight)
-                metrics.count("strategy.comparisons_enqueued")
+                self.index.enqueue(pair, weighted.weight)
+                enqueued += 1
                 cost += costs.per_enqueue
+        metrics.count_hits({"strategy.skipped_already_executed": skipped,
+                            "strategy.comparisons_enqueued": enqueued})
         return cost
 
     def on_empty_increment(self, system: PierSystem) -> float:
         # Alg. 2, lines 10-11: only refill when the index has run dry; keep
         # draining blocks until the index holds fresh work or nothing is left.
         metrics = system.metrics
-        cost = system.costs.per_round
+        costs = system.costs
+        cost = costs.per_round
+        enqueued = 0
         while not len(self.index):
-            result = self.refill.next_batch(system.collection, system.was_executed)
+            result = self.refill.next_batch(system.collection, system.store.executed)
             if result is None:
                 break
             batch, operations = result
             metrics.count("strategy.refill_batches")
             metrics.count("strategy.weighting_ops", operations)
-            cost += operations * system.costs.per_weight
+            cost += operations * costs.per_weight
             for weighted in batch:
                 self.index.enqueue(weighted.pair, weighted.weight)
-                metrics.count("strategy.comparisons_enqueued")
-                cost += system.costs.per_enqueue
+                cost += costs.per_enqueue
+            enqueued += len(batch)
+        metrics.count_hits({"strategy.comparisons_enqueued": enqueued})
         return cost
 
     def dequeue(self) -> tuple[int, int] | None:

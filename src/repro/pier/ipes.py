@@ -24,6 +24,7 @@ sensitive to a poorly suited weighting scheme than I-PCS.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from typing import Iterable
 
 from repro.core.comparison import WeightedComparison
@@ -61,7 +62,7 @@ class IPES(IncrPrioritization):
         per_pair_weighting: bool = False,
     ) -> None:
         self.generator = ComparisonGenerator(beta=beta, scheme=scheme, per_pair=per_pair_weighting)
-        self.refill = GetComparisons(scheme=self.generator.scheme, per_pair=per_pair_weighting)
+        self.refill = GetComparisons(scheme=self.generator.scheme)
         self.entity_pq: dict[int, BoundedPriorityQueue[tuple[int, int]]] = {}
         self.entity_queue: BoundedPriorityQueue[int] = BoundedPriorityQueue()
         self.overflow: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(
@@ -80,7 +81,11 @@ class IPES(IncrPrioritization):
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
         metrics = system.metrics
+        executed = system.store.executed
+        insert = self._insert_weighted
         cost = 0.0
+        skipped = 0
+        placed: list[str] = []
         for profile in profiles:
             kept, operations = self.generator.generate(
                 system.collection, profile, system.valid_partner(profile)
@@ -88,34 +93,40 @@ class IPES(IncrPrioritization):
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:
-                if system.was_executed(weighted.left, weighted.right):
-                    metrics.count("strategy.skipped_already_executed")
+                if weighted.pair in executed:
+                    skipped += 1
                     continue
-                metrics.count(f"strategy.inserted_{self._insert_weighted(weighted)}")
+                placed.append(insert(weighted))
                 cost += costs.per_enqueue
+        metrics.count_hits({"strategy.skipped_already_executed": skipped, **Counter(placed)})
         return cost
 
     def on_empty_increment(self, system: PierSystem) -> float:
         metrics = system.metrics
-        cost = system.costs.per_round
+        costs = system.costs
+        insert = self._insert_weighted
+        cost = costs.per_round
+        placed: list[str] = []
         while not len(self):
-            result = self.refill.next_batch(system.collection, system.was_executed)
+            result = self.refill.next_batch(system.collection, system.store.executed)
             if result is None:
                 break
             batch, operations = result
             metrics.count("strategy.refill_batches")
             metrics.count("strategy.weighting_ops", operations)
-            cost += operations * system.costs.per_weight
+            cost += operations * costs.per_weight
             for weighted in batch:
-                metrics.count(f"strategy.inserted_{self._insert_weighted(weighted)}")
-                cost += system.costs.per_enqueue
+                placed.append(insert(weighted))
+                cost += costs.per_enqueue
+        metrics.count_hits(Counter(placed))
         return cost
 
     def _insert_weighted(self, weighted: WeightedComparison) -> str:
         """Lines 1-14 of Algorithm 4 for a single weighted comparison.
 
-        Returns where the comparison ended up (``entity`` / ``balanced`` /
-        ``pruned`` / ``overflow``) so callers can count dispositions.
+        Returns the counter naming where the comparison ended up
+        (``strategy.inserted_`` + ``entity`` / ``balanced`` / ``pruned`` /
+        ``overflow``), so callers can count dispositions.
         """
         weight = weighted.weight
         self.total_weight += weight
@@ -125,11 +136,11 @@ class IPES(IncrPrioritization):
         if self._top_weight(pid_x) < weight:
             self._entity_enqueue(pid_x, weighted)
             self.entity_queue.enqueue(pid_x, weight)
-            return "entity"
+            return "strategy.inserted_entity"
         if self._top_weight(pid_y) < weight:
             self._entity_enqueue(pid_y, weighted)
             self.entity_queue.enqueue(pid_y, weight)
-            return "entity"
+            return "strategy.inserted_entity"
         if weight > self.total_weight / self.count:
             queue_x = self.entity_pq.get(pid_x)
             queue_y = self.entity_pq.get(pid_y)
@@ -138,7 +149,7 @@ class IPES(IncrPrioritization):
             owner = pid_x if size_x <= size_y else pid_y
             return self._insert_if_above_entity_average(weighted, owner)
         self.overflow.enqueue(weighted.pair, weight)
-        return "overflow"
+        return "strategy.inserted_overflow"
 
     def _insert_if_above_entity_average(self, weighted: WeightedComparison, owner: int) -> str:
         """The ``insert()`` function: admit only above the entity average.
@@ -153,9 +164,9 @@ class IPES(IncrPrioritization):
         total, count = self._entity_totals.get(owner, (0.0, 0))
         if count and weighted.weight <= total / count:
             self.overflow.enqueue(weighted.pair, weighted.weight)
-            return "pruned"
+            return "strategy.inserted_pruned"
         self._entity_enqueue(owner, weighted)
-        return "balanced"
+        return "strategy.inserted_balanced"
 
     def _entity_enqueue(self, owner: int, weighted: WeightedComparison) -> None:
         queue = self.entity_pq.get(owner)

@@ -9,7 +9,9 @@ grows without a known size upfront.
 
 Hashing is deterministic (independent of ``PYTHONHASHSEED``): items are
 canonical ``(int, int)`` pairs mixed with a splitmix64-style finalizer, and
-the k indexes derive from two base hashes (Kirsch-Mitzenmacher).
+the k indexes derive from two base hashes (Kirsch-Mitzenmacher).  The
+scalable filter hashes a pair once and hands the two base hashes to every
+slice; a membership probe's hashes are reused by the ``add`` that follows.
 """
 
 from __future__ import annotations
@@ -52,19 +54,31 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.count = 0
 
-    def _indexes(self, left: int, right: int) -> list[int]:
-        h1, h2 = _pair_hashes(left, right)
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
-
     def add(self, left: int, right: int) -> None:
-        for index in self._indexes(left, right):
-            self._bits[index >> 3] |= 1 << (index & 7)
+        self.add_hashed(*_pair_hashes(left, right))
+
+    def add_hashed(self, h1: int, h2: int) -> None:
+        """:meth:`add` for a pair whose :func:`_pair_hashes` are known."""
+        bits = self._bits
+        num_bits = self.num_bits
+        for i in range(self.num_hashes):
+            index = (h1 + i * h2) % num_bits
+            bits[index >> 3] |= 1 << (index & 7)
         self.count += 1
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        left, right = pair
-        for index in self._indexes(left, right):
-            if not self._bits[index >> 3] & (1 << (index & 7)):
+        return self.contains_hashed(*_pair_hashes(*pair))
+
+    def contains_hashed(self, h1: int, h2: int) -> bool:
+        """Membership of a pair whose :func:`_pair_hashes` are known.
+
+        Stops at the first unset bit, so most misses touch few indexes.
+        """
+        bits = self._bits
+        num_bits = self.num_bits
+        for i in range(self.num_hashes):
+            index = (h1 + i * h2) % num_bits
+            if not bits[index >> 3] & (1 << (index & 7)):
                 return False
         return True
 
@@ -102,7 +116,9 @@ class ScalableBloomFilter:
         errors sums below ``error_rate``.
     """
 
-    __slots__ = ("initial_capacity", "error_rate", "growth", "tightening", "_slices")
+    __slots__ = (
+        "initial_capacity", "error_rate", "growth", "tightening", "_slices", "_probed",
+    )
 
     def __init__(
         self,
@@ -121,8 +137,17 @@ class ScalableBloomFilter:
         self.tightening = tightening
         first_error = error_rate * (1.0 - tightening)
         self._slices: list[BloomFilter] = [BloomFilter(initial_capacity, first_error)]
+        # The last probed pair and its hashes (derived, never snapshotted).
+        self._probed: tuple | None = None
 
     def add(self, left: int, right: int) -> None:
+        # Reuse the hashes of the membership probe that usually precedes
+        # an add (I-PBS calls ``contains`` and then ``add`` per pair).
+        probed = self._probed
+        if probed is not None and probed[0] == (left, right):
+            hashes = probed[1]
+        else:
+            hashes = _pair_hashes(left, right)
         current = self._slices[-1]
         if current.is_full:
             current = BloomFilter(
@@ -130,10 +155,16 @@ class ScalableBloomFilter:
                 current.error_rate * self.tightening,
             )
             self._slices.append(current)
-        current.add(left, right)
+        current.add_hashed(*hashes)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return any(pair in slice_ for slice_ in reversed(self._slices))
+        # One hash per pair, shared by every slice.
+        h1, h2 = hashes = _pair_hashes(*pair)
+        self._probed = (pair, hashes)
+        for slice_ in reversed(self._slices):
+            if slice_.contains_hashed(h1, h2):
+                return True
+        return False
 
     def contains(self, left: int, right: int) -> bool:
         return (left, right) in self
@@ -157,6 +188,7 @@ class ScalableBloomFilter:
     def restore_state(self, state: dict[str, object]) -> None:
         (self.initial_capacity, self.error_rate, self.growth, self.tightening) = state["params"]
         self._slices = [BloomFilter.from_state(slice_state) for slice_state in state["slices"]]
+        self._probed = None
 
 
 class ExactComparisonFilter:

@@ -12,62 +12,31 @@ weight".  This implementation supports:
 * ``peek_key()`` — the key of the current top (I-PES consults
   ``E_PQ(p).top.weight`` without removing it).
 
-Internally two heaps (max and min views of the same items) share entries;
-evicted/dequeued entries are tombstoned and skipped lazily, which keeps all
-operations ``O(log n)`` amortized.
+Heap entries are plain tuples, so every heap comparison runs in C: the
+max-heap holds ``(negated key, seq, entry)`` (descending by key, FIFO on
+ties) and the min-heap ``(key, -seq, entry)`` (ascending by key, the
+*newest* item first on ties, so older equally weighted comparisons are not
+starved).  Keys are numbers or tuples of numbers; a tuple key is negated
+part by part.  ``seq`` is unique, so a comparison never reaches ``entry``.
+
+``entry`` is a shared ``[key, item, alive]`` list: evicted/dequeued entries
+are tombstoned and skipped lazily, which keeps all operations ``O(log n)``
+amortized.  The min-heap only serves eviction, so it is built the first
+time the queue reaches its capacity (by heapifying the live entries) —
+unbounded queues, such as I-PES's per-entity queues, never hold one.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Generic, Iterator, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
 
 T = TypeVar("T")
 
-
-class _Entry(Generic[T]):
-    __slots__ = ("key", "seq", "item", "alive")
-
-    def __init__(self, key: Any, seq: int, item: T) -> None:
-        self.key = key
-        self.seq = seq
-        self.item = item
-        self.alive = True
-
-
-class _MaxView(Generic[T]):
-    """Heap wrapper ordering entries descending by key, FIFO on ties."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: _Entry[T]) -> None:
-        self.entry = entry
-
-    def __lt__(self, other: "_MaxView[T]") -> bool:
-        if self.entry.key != other.entry.key:
-            return self.entry.key > other.entry.key
-        return self.entry.seq < other.entry.seq
-
-
-class _MinView(Generic[T]):
-    """Heap wrapper ordering entries ascending by key, LIFO on ties.
-
-    On equal keys the *newest* item is considered the eviction victim, so
-    older equally weighted comparisons are not starved.
-    """
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: _Entry[T]) -> None:
-        self.entry = entry
-
-    def __lt__(self, other: "_MinView[T]") -> bool:
-        if self.entry.key != other.entry.key:
-            return self.entry.key < other.entry.key
-        return self.entry.seq > other.entry.seq
+# Positions inside an entry list.
+_KEY, _ITEM, _ALIVE = 0, 1, 2
 
 
 class BoundedPriorityQueue(Generic[T]):
@@ -83,7 +52,7 @@ class BoundedPriorityQueue(Generic[T]):
     # the per-instance ``__dict__`` is a real memory win (measured by
     # ``python -m benchmarks.perf``, section "slots").
     __slots__ = (
-        "capacity", "_max_heap", "_min_heap", "_size", "_counter",
+        "capacity", "_max_heap", "_min_heap", "_size", "_seq",
         "evictions", "rejections",
     )
 
@@ -91,10 +60,11 @@ class BoundedPriorityQueue(Generic[T]):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None)")
         self.capacity = capacity
-        self._max_heap: list[_MaxView[T]] = []
-        self._min_heap: list[_MinView[T]] = []
+        self._max_heap: list[tuple] = []
+        # ``None`` until the queue first reaches ``capacity``.
+        self._min_heap: list[tuple] | None = None
         self._size = 0
-        self._counter = itertools.count()
+        self._seq = 0
         self.evictions = 0
         self.rejections = 0
 
@@ -112,17 +82,25 @@ class BoundedPriorityQueue(Generic[T]):
         full, the item is rejected (``False``) unless it outranks the current
         minimum, which is then evicted.
         """
-        if self.capacity is not None and self._size >= self.capacity:
+        capacity = self.capacity
+        if capacity is not None and self._size >= capacity:
+            if self._min_heap is None:
+                self._build_min_heap()
             min_entry = self._peek_min_entry()
-            if min_entry is None or not key > min_entry.key:
+            if min_entry is None or not key > min_entry[_KEY]:
                 self.rejections += 1
                 return False
-            min_entry.alive = False
+            min_entry[_ALIVE] = False
             self._size -= 1
             self.evictions += 1
-        entry = _Entry(key, next(self._counter), item)
-        heapq.heappush(self._max_heap, _MaxView(entry))
-        heapq.heappush(self._min_heap, _MinView(entry))
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [key, item, True]
+        # The order-reversing image of the key: a tuple negates part by part.
+        negated = tuple([-part for part in key]) if key.__class__ is tuple else -key
+        heapq.heappush(self._max_heap, (negated, seq, entry))
+        if self._min_heap is not None:
+            heapq.heappush(self._min_heap, (key, -seq, entry))
         self._size += 1
         return True
 
@@ -131,32 +109,28 @@ class BoundedPriorityQueue(Generic[T]):
         entry = self._pop_live_max()
         if entry is None:
             raise IndexError("dequeue from empty BoundedPriorityQueue")
-        entry.alive = False
-        self._size -= 1
-        return entry.item
+        return entry[_ITEM]
 
     def dequeue_with_key(self) -> tuple[T, Any]:
         """Like :meth:`dequeue` but also return the item's priority key."""
         entry = self._pop_live_max()
         if entry is None:
             raise IndexError("dequeue from empty BoundedPriorityQueue")
-        entry.alive = False
-        self._size -= 1
-        return entry.item, entry.key
+        return entry[_ITEM], entry[_KEY]
 
     def peek(self) -> T:
         """Return (without removing) the highest-priority item."""
-        entry = self._pop_live_max()
+        entry = self._peek_max_entry()
         if entry is None:
             raise IndexError("peek on empty BoundedPriorityQueue")
-        return entry.item
+        return entry[_ITEM]
 
     def peek_key(self) -> Any:
         """Priority key of the current top item."""
-        entry = self._pop_live_max()
+        entry = self._peek_max_entry()
         if entry is None:
             raise IndexError("peek_key on empty BoundedPriorityQueue")
-        return entry.key
+        return entry[_KEY]
 
     def drain(self) -> Iterator[T]:
         """Yield all items in priority order, emptying the queue."""
@@ -165,25 +139,46 @@ class BoundedPriorityQueue(Generic[T]):
 
     def clear(self) -> None:
         self._max_heap.clear()
-        self._min_heap.clear()
+        self._min_heap = None
         self._size = 0
 
     # ------------------------------------------------------------------
-    def _pop_live_max(self) -> _Entry[T] | None:
+    def _peek_max_entry(self) -> list | None:
         """Top live entry of the max heap (dead entries discarded en route)."""
-        while self._max_heap:
-            view = self._max_heap[0]
-            if view.entry.alive:
-                return view.entry
-            heapq.heappop(self._max_heap)
+        heap = self._max_heap
+        while heap:
+            entry = heap[0][2]
+            if entry[_ALIVE]:
+                return entry
+            heapq.heappop(heap)
         return None
 
-    def _peek_min_entry(self) -> _Entry[T] | None:
-        while self._min_heap:
-            view = self._min_heap[0]
-            if view.entry.alive:
-                return view.entry
-            heapq.heappop(self._min_heap)
+    def _pop_live_max(self) -> list | None:
+        """Remove the top live entry from the max heap and tombstone it."""
+        heap = self._max_heap
+        while heap:
+            entry = heapq.heappop(heap)[2]
+            if entry[_ALIVE]:
+                entry[_ALIVE] = False
+                self._size -= 1
+                return entry
+        return None
+
+    def _build_min_heap(self) -> None:
+        self._min_heap = [
+            (entry[_KEY], -seq, entry)
+            for _, seq, entry in self._max_heap
+            if entry[_ALIVE]
+        ]
+        heapq.heapify(self._min_heap)
+
+    def _peek_min_entry(self) -> list | None:
+        heap = self._min_heap
+        while heap:
+            entry = heap[0][2]
+            if entry[_ALIVE]:
+                return entry
+            heapq.heappop(heap)
         return None
 
     def __repr__(self) -> str:

@@ -161,9 +161,6 @@ class BatchProgressiveSystem(ERSystem):
             return True
         return self._profiles[pid_x].source != self._profiles[pid_y].source
 
-    def was_executed(self, pid_x: int, pid_y: int) -> bool:
-        return self.store.was_executed(pid_x, pid_y)
-
     def gauges(self) -> dict[str, float]:
         return {
             "initializations": self.initializations,

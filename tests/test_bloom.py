@@ -94,6 +94,100 @@ class TestScalableBloomFilter:
         assert false_positives / 5000 < 0.05
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _legacy_splitmix64(value: int) -> int:
+    value = (value + 0x9E3779B97F4A7C15) & _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def _legacy_indexes(slice_: BloomFilter, left: int, right: int) -> list[int]:
+    """The original per-slice formula: every slice re-hashes the pair."""
+    h1 = _legacy_splitmix64((left << 32) ^ right)
+    h2 = _legacy_splitmix64(h1 ^ 0xD6E8FEB86659FD93)
+    return [(h1 + i * h2) % slice_.num_bits for i in range(slice_.num_hashes)]
+
+
+class _LegacyScalableBloom:
+    """Oracle: the scalable filter as it hashed before hashes were shared."""
+
+    def __init__(self, initial_capacity: int, error_rate: float = 0.001,
+                 growth: int = 4, tightening: float = 0.5) -> None:
+        self.params = (initial_capacity, error_rate, growth, tightening)
+        self.slices = [BloomFilter(initial_capacity, error_rate * (1.0 - tightening))]
+
+    def add(self, left: int, right: int) -> None:
+        current = self.slices[-1]
+        if current.is_full:
+            _, _, growth, tightening = self.params
+            current = BloomFilter(current.capacity * growth, current.error_rate * tightening)
+            self.slices.append(current)
+        for index in _legacy_indexes(current, left, right):
+            current._bits[index >> 3] |= 1 << (index & 7)
+        current.count += 1
+
+    def contains(self, left: int, right: int) -> bool:
+        return any(
+            all(
+                slice_._bits[index >> 3] & (1 << (index & 7))
+                for index in _legacy_indexes(slice_, left, right)
+            )
+            for slice_ in reversed(self.slices)
+        )
+
+    def snapshot_state(self) -> dict:
+        return {
+            "params": self.params,
+            "slices": [
+                (s.capacity, s.error_rate, bytes(s._bits), s.count) for s in self.slices
+            ],
+        }
+
+
+class TestSharedHashEquivalence:
+    """Hashing a pair once per probe (and reusing it for the following
+    ``add``) answers and serializes exactly like the per-slice formula."""
+
+    def test_stream_matches_legacy_formula(self):
+        bloom = ScalableBloomFilter(initial_capacity=16)
+        legacy = _LegacyScalableBloom(initial_capacity=16)
+        # Repeats (true positives), fresh pairs (mostly misses), and probes
+        # whose ``add`` is preceded by a different probe or by none at all.
+        stream = [((i * 37) % 500, (i * 11) % 499 + 500) for i in range(1600)]
+        for step, (left, right) in enumerate(stream):
+            if step % 7 == 3:
+                bloom.add(left, right)
+                legacy.add(left, right)
+                continue
+            found = bloom.contains(left, right)
+            assert found == legacy.contains(left, right)
+            if step % 5 == 0:
+                assert bloom.contains(right, left) == legacy.contains(right, left)
+            if not found:
+                bloom.add(left, right)
+                legacy.add(left, right)
+        assert bloom.num_slices >= 4
+        assert bloom.snapshot_state() == legacy.snapshot_state()
+        probes = [(i, i + 1) for i in range(2000)]
+        assert [bloom.contains(*p) for p in probes] == [legacy.contains(*p) for p in probes]
+
+    def test_restored_filter_keeps_answering_identically(self):
+        bloom = ScalableBloomFilter(initial_capacity=8)
+        for i in range(200):
+            if not bloom.contains(i, 3 * i):
+                bloom.add(i, 3 * i)
+        restored = ScalableBloomFilter()
+        restored.restore_state(bloom.snapshot_state())
+        for i in range(150, 400):
+            assert restored.contains(i, 3 * i) == bloom.contains(i, 3 * i)
+            restored.add(i, 3 * i)
+            bloom.add(i, 3 * i)
+        assert restored.snapshot_state() == bloom.snapshot_state()
+
+
 class TestExactComparisonFilter:
     def test_exactness(self):
         exact = ExactComparisonFilter()

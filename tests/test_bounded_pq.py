@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,13 @@ class TestBounding:
         queue.enqueue("a", 1.0)
         assert not queue.enqueue("b", 1.0)
 
+    def test_eviction_takes_newest_of_equal_minimums(self):
+        queue = BoundedPriorityQueue(capacity=2)
+        queue.enqueue("older", 1.0)
+        queue.enqueue("newer", 1.0)
+        assert queue.enqueue("top", 2.0)
+        assert list(queue.drain()) == ["top", "older"]
+
     def test_size_never_exceeds_capacity(self):
         queue = BoundedPriorityQueue(capacity=3)
         for i in range(100):
@@ -147,3 +156,115 @@ class TestHypothesisModel:
                 model.append(key)
                 counter += 1
         assert len(queue) == len(model)
+
+
+# ----------------------------------------------------------------------
+# Model test: the queue against a sorted-list oracle
+# ----------------------------------------------------------------------
+FLOAT_KEYS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+TUPLE_KEYS = st.tuples(st.integers(-3, 0), st.sampled_from([0.0, 1.0, 2.5]))
+OPERATIONS = ("enqueue", "dequeue", "dequeue_with_key", "peek_key", "deepcopy")
+
+
+class _SortedListOracle:
+    """Reference semantics: live ``(key, seq, item)`` entries in a list.
+
+    Top = largest key, oldest first on ties; eviction victim = smallest
+    key, newest first on ties; a full queue admits only a key strictly
+    greater than the victim's.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries: list[tuple] = []
+        self.seq = 0
+        self.evictions = 0
+        self.rejections = 0
+
+    def _top(self):
+        return sorted(self.entries, key=lambda e: (e[0], -e[1]))[-1]
+
+    def enqueue(self, item, key) -> bool:
+        if self.capacity is not None and len(self.entries) >= self.capacity:
+            victim = sorted(self.entries, key=lambda e: (e[0], -e[1]))[0]
+            if not key > victim[0]:
+                self.rejections += 1
+                return False
+            self.entries.remove(victim)
+            self.evictions += 1
+        self.entries.append((key, self.seq, item))
+        self.seq += 1
+        return True
+
+    def dequeue_with_key(self):
+        top = self._top()
+        self.entries.remove(top)
+        return top[2], top[0]
+
+
+@st.composite
+def _scripts(draw):
+    keys = draw(st.sampled_from([FLOAT_KEYS, TUPLE_KEYS]))
+    capacity = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    script = draw(
+        st.lists(
+            st.tuples(st.sampled_from(OPERATIONS), keys),
+            max_size=60,
+        )
+    )
+    return capacity, script
+
+
+class TestOracleModel:
+    @given(_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_interleaved_operations_match_oracle(self, case):
+        capacity, script = case
+        queue = BoundedPriorityQueue(capacity)
+        oracle = _SortedListOracle(capacity)
+        for step, (operation, key) in enumerate(script):
+            if operation == "enqueue":
+                assert queue.enqueue(step, key) == oracle.enqueue(step, key)
+            elif operation == "deepcopy":
+                queue = copy.deepcopy(queue)
+            elif not oracle.entries:
+                with pytest.raises(IndexError):
+                    getattr(queue, operation)()
+            elif operation == "peek_key":
+                assert queue.peek_key() == oracle._top()[0]
+            elif operation == "dequeue":
+                assert queue.dequeue() == oracle.dequeue_with_key()[0]
+            else:
+                assert queue.dequeue_with_key() == oracle.dequeue_with_key()
+            assert len(queue) == len(oracle.entries)
+            assert queue.evictions == oracle.evictions
+            assert queue.rejections == oracle.rejections
+        drained = [queue.dequeue_with_key() for _ in range(len(queue))]
+        assert drained == [oracle.dequeue_with_key() for _ in range(len(oracle.entries))]
+
+    @pytest.mark.parametrize("keys", [[3.0, 1.0, 2.0, 2.0], [(-1, 1.0), (-2, 5.0), (-1, 1.0)]])
+    def test_deepcopy_before_and_after_min_heap(self, keys):
+        """A copy taken before the queue first fills, and one taken after
+        (once the eviction heap exists), both replay like the original."""
+        queue = BoundedPriorityQueue(capacity=3)
+        oracle = _SortedListOracle(3)
+        for step, key in enumerate(keys[:2]):
+            queue.enqueue(step, key)
+            oracle.enqueue(step, key)
+        assert queue._min_heap is None
+        queue = copy.deepcopy(queue)
+        for step, key in enumerate(keys[2:] + keys, start=2):
+            assert queue.enqueue(step, key) == oracle.enqueue(step, key)
+        assert queue._min_heap is not None
+        queue = copy.deepcopy(queue)
+        assert queue.enqueue(99, keys[0]) == oracle.enqueue(99, keys[0])
+        assert (queue.evictions, queue.rejections) == (oracle.evictions, oracle.rejections)
+        drained = [queue.dequeue_with_key() for _ in range(len(queue))]
+        assert drained == [oracle.dequeue_with_key() for _ in range(len(oracle.entries))]
+
+    def test_unbounded_queue_never_builds_min_heap(self):
+        queue = BoundedPriorityQueue()
+        for step in range(50):
+            queue.enqueue(step, float(step % 7))
+        queue.dequeue()
+        assert queue._min_heap is None

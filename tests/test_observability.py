@@ -47,7 +47,7 @@ class TestMetricsRegistry:
         metrics.gauge("g", 1.0)
         with metrics.time_phase("p") as timer:
             timer.virtual += 1.0
-        metrics.record_round(round=1, clock=0.5, backlog=0)
+        metrics.record_round(lambda: {"round": 1, "clock": 0.5, "backlog": 0})
         snap = metrics.snapshot()
         assert snap["schema_version"] == SCHEMA_VERSION
         assert set(snap) == {"schema_version", "counters", "gauges", "phases", "rounds"}
@@ -72,14 +72,14 @@ class TestRoundLog:
     def test_keeps_everything_under_cap(self):
         log = RoundLog(max_samples=8)
         for i in range(8):
-            log.offer({"round": i})
+            log.offer(lambda: {"round": i})
         assert [s["round"] for s in log.samples] == list(range(8))
         assert log.stride == 1
 
     def test_stride_doubles_beyond_cap(self):
         log = RoundLog(max_samples=8)
         for i in range(1000):
-            log.offer({"round": i})
+            log.offer(lambda: {"round": i})
         assert len(log.samples) <= 8
         assert log.offered == 1000
         rounds = [s["round"] for s in log.samples]

@@ -26,6 +26,7 @@ import pytest
 
 from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
+from repro.datasets.registry import load_dataset
 from repro.evaluation.experiments import ExperimentConfig, _build_matcher, _build_system
 from repro.parallel import WorkerPool, strip_parallel_telemetry
 from repro.parallel.cells import run_cells
@@ -291,6 +292,28 @@ def test_metric_schema_invariant_across_worker_counts(dataset, plan, ed_pool):
     assert set(serial_metrics["counters"]) == set(sharded_metrics["counters"])
     assert set(serial_metrics["gauges"]) == set(sharded_metrics["gauges"])
     assert set(serial_metrics["phases"]) == set(sharded_metrics["phases"])
+
+
+def test_pool_reused_across_datasets_matches_serial():
+    """One pool serving ED runs over two generated datasets whose pids
+    collide: the per-run reset must also drop the worker matchers'
+    pid-keyed text caches, or the second dataset is scored with the
+    first one's texts."""
+    datasets = [load_dataset("census_2m", scale=0.15, seed=seed) for seed in (1, 2)]
+    first_pids = {profile.pid for profile in datasets[0].profiles}
+    assert first_pids & {profile.pid for profile in datasets[1].profiles}
+    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
+    if pool is None:
+        pytest.skip("process pool unavailable on this host")
+    try:
+        for dataset in datasets:
+            plan = make_stream_plan(split_into_increments(dataset, 6, seed=0), rate=5.0)
+            serial, _ = _run(StreamingEngine, dataset, plan, "I-PES")
+            pooled, _ = _run(StreamingEngine, dataset, plan, "I-PES", workers=2, pool=pool)
+            assert pooled.details["metrics"]["counters"]["parallel.rounds_sharded"] > 0
+            assert _comparable(pooled) == _comparable(serial)
+    finally:
+        pool.close()
 
 
 # ----------------------------------------------------------------------

@@ -72,48 +72,48 @@ class TestGetComparisons:
     def test_smallest_block_first(self):
         refill = GetComparisons()
         collection = self._collection()
-        batch, _ = refill.next_batch(collection, lambda x, y: False)
+        batch, _ = refill.next_batch(collection, set())
         assert {w.pair for w in batch} == {(0, 1)}  # 'small' (size 2) first
 
     def test_progression_through_blocks(self):
         refill = GetComparisons()
         collection = self._collection()
-        refill.next_batch(collection, lambda x, y: False)
-        batch, _ = refill.next_batch(collection, lambda x, y: False)
+        refill.next_batch(collection, set())
+        batch, _ = refill.next_batch(collection, set())
         assert {w.pair for w in batch} == {(0, 1), (0, 2), (1, 2)}  # 'big'
 
     def test_exhaustion(self):
         refill = GetComparisons()
         collection = self._collection()
-        refill.next_batch(collection, lambda x, y: False)
-        refill.next_batch(collection, lambda x, y: False)
-        assert refill.next_batch(collection, lambda x, y: False) is None
+        refill.next_batch(collection, set())
+        refill.next_batch(collection, set())
+        assert refill.next_batch(collection, set()) is None
         assert refill.is_exhausted(collection)
 
     def test_executed_pairs_filtered(self):
         refill = GetComparisons()
         collection = self._collection()
-        batch, operations = refill.next_batch(collection, lambda x, y: True)
+        batch, operations = refill.next_batch(collection, {(0, 1)})
         assert batch == []
         assert operations == 0
 
     def test_grown_blocks_revisited(self):
         refill = GetComparisons()
         collection = self._collection()
-        while refill.next_batch(collection, lambda x, y: False) is not None:
+        while refill.next_batch(collection, set()) is not None:
             pass
         collection.add_profile(make_profile(3, "small"))
         assert not refill.is_exhausted(collection)
-        batch, _ = refill.next_batch(collection, lambda x, y: False)
+        batch, _ = refill.next_batch(collection, set())
         new_pairs = {w.pair for w in batch}
         assert (0, 3) in new_pairs and (1, 3) in new_pairs
 
     def test_reset(self):
         refill = GetComparisons()
         collection = self._collection()
-        refill.next_batch(collection, lambda x, y: False)
+        refill.next_batch(collection, set())
         refill.reset()
-        batch, _ = refill.next_batch(collection, lambda x, y: False)
+        batch, _ = refill.next_batch(collection, set())
         assert {w.pair for w in batch} == {(0, 1)}
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.blocking.blocks import BlockCollection
+from repro.blocking.substrate import BlockingConfig, make_collection
 from repro.blocking.cleaning import block_ghosting
 from repro.core.dataset import Dataset, ERKind
 from repro.core.increments import make_stream_plan, split_into_increments
@@ -25,7 +26,11 @@ from repro.evaluation.experiments import (
     make_matcher,
     make_system,
 )
-from repro.metablocking.sweep import partner_weights, sweep_weights
+from repro.metablocking.sweep import (
+    partner_weights,
+    sweep_partner_weights,
+    sweep_weights,
+)
 from repro.metablocking.weights import make_scheme
 from repro.metablocking.wnp import incremental_wnp, sweep_wnp
 from repro.pier.base import ComparisonGenerator
@@ -183,28 +188,80 @@ class TestSweepBitIdentity:
             assert weight == scheme.weight(collection, profile.pid, partner)
 
 
+class TestPartnerWeightsParity:
+    """``partner_weights`` (per-pair block-set intersections) agrees with
+    ``scheme.weight``, with the counting sweep and with
+    ``sweep_partner_weights`` on every substrate."""
+
+    @pytest.mark.parametrize("substrate", ("token", "lsh", "lsh-prefilter"))
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_every_pair_matches(self, small_census, substrate, scheme_name):
+        collection = make_collection(BlockingConfig(substrate=substrate), max_block_size=12)
+        for profile in small_census.profiles:
+            collection.add_profile(profile)
+        assert collection.purged_keys()
+        scheme = make_scheme(scheme_name)
+        bystanders = [profile.pid for profile in small_census.profiles[:40]]
+        checked = 0
+        for profile in small_census.profiles[:80]:
+            swept = dict(sweep_weights(collection, profile.pid, None, scheme))
+            partners = list(swept) + [pid for pid in bystanders if pid != profile.pid]
+            weights = partner_weights(collection, profile.pid, partners, scheme)
+            assert list(weights) == list(dict.fromkeys(partners))
+            assert sweep_partner_weights(collection, profile.pid, partners, scheme) == weights
+            for partner, weight in weights.items():
+                assert weight == scheme.weight(collection, profile.pid, partner)
+                assert weight == swept.get(partner, 0.0)
+                checked += 1
+        assert checked > 1000
+
+
+#: Systems that weigh comparisons they already hold (per pair, or for the
+#: PPS block graph by a counting sweep); they have no per-pair switch.
+HELD_PAIR_SYSTEMS = frozenset(
+    {"I-PBS", "PPS", "PPS-GLOBAL", "PPS-LOCAL", "PBS", "PBS-GLOBAL"}
+)
+
+
+class _ReferenceCBS:
+    """CBS counted block by block: an oracle independent of both the
+    counting sweep and the block-set intersection."""
+
+    name = "CBS"
+
+    def weight(self, collection, pid_x, pid_y):
+        keys_y = collection.blocks_of(pid_y)
+        return float(sum(1 for key in collection.blocks_of(pid_x) if key in keys_y))
+
+
 class TestEngineLevelParity:
-    """Both CLI paths (sweep vs --per-pair-weighting) give identical runs."""
+    """Sweep and per-pair weighting give identical runs.
+
+    Systems with the ``--per-pair-weighting`` switch run both ways; the
+    others run again on a reference CBS implementation.
+    """
 
     @pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])
-    @pytest.mark.parametrize("system_name", sorted(WEIGHTING_SYSTEMS))
+    @pytest.mark.parametrize("system_name", sorted(WEIGHTING_SYSTEMS | HELD_PAIR_SYSTEMS))
     def test_full_run_bit_identical(self, system_name, engine_cls, small_dblp_acm):
         dataset = small_dblp_acm
         increments = split_into_increments(dataset, 8, seed=0)
         plan = make_stream_plan(increments, rate=None)
 
-        def run(per_pair: bool):
-            system = make_system(
-                system_name, dataset, per_pair_weighting=per_pair
-            )
+        def run(**overrides):
+            system = make_system(system_name, dataset, **overrides)
             engine = engine_cls(make_matcher("JS"), budget=30.0)
             return engine.run(system, plan, dataset.ground_truth)
 
-        sweep_result, pair_result = run(False), run(True)
-        assert sweep_result.match_events == pair_result.match_events
-        assert sweep_result.curve.points == pair_result.curve.points
-        assert sweep_result.comparisons_executed == pair_result.comparisons_executed
-        assert sweep_result.duplicates == pair_result.duplicates
+        if system_name in WEIGHTING_SYSTEMS:
+            reference = {"per_pair_weighting": True}
+        else:
+            reference = {"scheme": _ReferenceCBS()}
+        result, reference_result = run(), run(**reference)
+        assert result.match_events == reference_result.match_events
+        assert result.curve.points == reference_result.curve.points
+        assert result.comparisons_executed == reference_result.comparisons_executed
+        assert result.duplicates == reference_result.duplicates
 
 
 _HASHSEED_SCRIPT = """
